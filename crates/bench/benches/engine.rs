@@ -1,14 +1,14 @@
-//! Engine microbenchmarks: subsumption-store modes on the E8
-//! transitive-closure insert stream, and symbolic semi-naive under
-//! different executor thread counts.
+//! Engine microbenchmarks: the indexed subsumption store against the
+//! quadratic reference store on the E8 transitive-closure insert stream,
+//! and symbolic semi-naive under different executor thread counts.
 //!
 //! The companion acceptance check (`repro engine`) additionally reports
 //! the entailment-check *counts* via `cql_trace` scoped metrics, which
 //! are deterministic and hardware-independent.
 
+use cql_bench::reference::quadratic_insert;
 use cql_bench::{chain_edb_dense, tc_program_dense};
 use cql_core::relation::{GenRelation, GenTuple};
-use cql_core::{EnginePolicy, SubsumptionMode};
 use cql_dense::{Dense, DenseConstraint as C};
 use cql_engine::datalog::{self, FixpointOptions};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -28,14 +28,20 @@ fn tc_stream(nodes: i64, n_tuples: usize) -> Vec<Vec<C>> {
     stream
 }
 
-fn insert_stream(mode: SubsumptionMode, stream: &[Vec<C>]) -> usize {
-    let mut rel = GenRelation::<Dense>::with_policy(2, EnginePolicy::with_subsumption(mode));
-    for conj in stream {
-        if let Some(t) = GenTuple::new(conj.clone()) {
-            rel.insert(t);
-        }
+fn insert_indexed(stream: &[Vec<C>]) -> usize {
+    let mut rel = GenRelation::<Dense>::empty(2);
+    for t in stream.iter().filter_map(|conj| GenTuple::new(conj.clone())) {
+        rel.insert(t);
     }
     rel.len()
+}
+
+fn insert_quadratic(stream: &[Vec<C>]) -> usize {
+    let mut store = Vec::new();
+    for t in stream.iter().filter_map(|conj| GenTuple::<Dense>::new(conj.clone())) {
+        quadratic_insert(&mut store, t);
+    }
+    store.len()
 }
 
 fn bench_subsumption(c: &mut Criterion) {
@@ -44,10 +50,10 @@ fn bench_subsumption(c: &mut Criterion) {
     for &n in &[256usize, 1024] {
         let stream = tc_stream(64, n);
         group.bench_with_input(BenchmarkId::new("quadratic", n), &stream, |b, s| {
-            b.iter(|| insert_stream(SubsumptionMode::Quadratic, s));
+            b.iter(|| insert_quadratic(s));
         });
         group.bench_with_input(BenchmarkId::new("indexed", n), &stream, |b, s| {
-            b.iter(|| insert_stream(SubsumptionMode::Indexed, s));
+            b.iter(|| insert_indexed(s));
         });
     }
     group.finish();

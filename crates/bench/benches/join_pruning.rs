@@ -1,21 +1,21 @@
 //! Summary-pruned vs exhaustive join enumeration, for all four theories.
 //!
 //! Each benchmark joins two n-tuple pinned-point relations on one column
-//! (the composition step of transitive closure) twice: once with
-//! `EnginePolicy::with_filtering(false)` — every pair of disjuncts is
-//! handed to the solver — and once with filtering on, where the engine's
-//! summary index buckets the right side by its join column and only
-//! interval-compatible pairs reach the solver. The companion acceptance
+//! (the composition step of transitive closure) twice: once with the
+//! exhaustive `cql_bench::reference::join` — every pair of disjuncts is
+//! handed to the solver — and once with the engine's `algebra::join_with`,
+//! where the summary index buckets the right side by its join column and
+//! only interval-compatible pairs reach the solver. The companion acceptance
 //! check (`repro e16`) reports the deterministic counter story
 //! (QE calls, entailment checks, pruned pairs, cache hits).
 
 use cql_arith::{Poly, Rat};
+use cql_bench::reference;
 use cql_bool::{BoolAlg, BoolConstraint, BoolTerm};
 use cql_core::relation::GenRelation;
 use cql_core::theory::Theory;
-use cql_core::EnginePolicy;
 use cql_dense::{Dense, DenseConstraint};
-use cql_engine::{algebra, Engine, Executor};
+use cql_engine::{algebra, Engine};
 use cql_equality::{EqConstraint, Equality};
 use cql_poly::{PolyConstraint, RealPoly};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -38,12 +38,15 @@ fn bench_theory<T: Theory>(
     group.sample_size(3);
     let a = chain::<T>(n, pin);
     let b = chain::<T>(n, pin);
-    for (label, filtering) in [("exhaustive", false), ("pruned", true)] {
-        group.bench_with_input(BenchmarkId::new(label, n), &filtering, |bch, &f| {
+    for (label, pruned) in [("exhaustive", false), ("pruned", true)] {
+        group.bench_with_input(BenchmarkId::new(label, n), &pruned, |bch, &pruned| {
             bch.iter(|| {
-                let engine: Engine<T> =
-                    Engine::new(Executor::serial(), EnginePolicy::default().with_filtering(f));
-                algebra::join_with(&engine, &a, &b, &[(1, 0)]).len()
+                let engine: Engine<T> = Engine::serial();
+                if pruned {
+                    algebra::join_with(&engine, &a, &b, &[(1, 0)]).len()
+                } else {
+                    reference::join(&engine, &a, &b, &[(1, 0)]).len()
+                }
             });
         });
     }

@@ -421,8 +421,8 @@ fn index(em: &mut Emitter) {
 /// E13 — the indexed subsumption store, measured under scoped metrics,
 /// plus the fixpoint EXPLAIN report.
 fn engine_store(em: &mut Emitter) -> EvalReport {
+    use cql_bench::reference::quadratic_insert;
     use cql_core::relation::{GenRelation, GenTuple};
-    use cql_core::{EnginePolicy, SubsumptionMode};
     use cql_dense::DenseConstraint as C;
 
     em.section("e13", "engine: indexed subsumption store vs quadratic baseline");
@@ -440,25 +440,21 @@ fn engine_store(em: &mut Emitter) -> EvalReport {
             }
         }
     }
-    // Per-mode scoped metrics: each run opens its own MetricsScope, so
+    // Per-store scoped metrics: each run opens its own MetricsScope, so
     // the counters are exact regardless of what else the process does
     // (the old global reset()/snapshot() pair could not promise that).
-    let run = |mode: SubsumptionMode, label: &str| {
+    // The quadratic side is the reference store of `cql_bench::reference`.
+    let run = |label: &str, insert: &mut dyn FnMut(GenTuple<Dense>) -> bool| {
         let scope = MetricsScope::enter(label);
-        let (len, d) = timed(|| {
-            let mut rel =
-                GenRelation::<Dense>::with_policy(2, EnginePolicy::with_subsumption(mode));
-            for conj in &stream {
-                if let Some(t) = GenTuple::new(conj.clone()) {
-                    rel.insert(t);
-                }
-            }
-            rel.len()
-        });
-        (len, scope.snapshot(), d)
+        let tuples = stream.iter().filter_map(|conj| GenTuple::new(conj.clone()));
+        let (_, d) = timed(|| tuples.map(insert).count());
+        (scope.snapshot(), d)
     };
-    let (len_q, m_q, d_q) = run(SubsumptionMode::Quadratic, "e13.quadratic");
-    let (len_i, m_i, d_i) = run(SubsumptionMode::Indexed, "e13.indexed");
+    let mut quadratic = Vec::new();
+    let (m_q, d_q) = run("e13.quadratic", &mut |t| quadratic_insert(&mut quadratic, t));
+    let mut indexed = GenRelation::empty(2);
+    let (m_i, d_i) = run("e13.indexed", &mut |t| indexed.insert(t));
+    let (len_q, len_i) = (quadratic.len(), indexed.len());
     em.note(&format!("insert stream: {} TC tuples over a {nodes}-node chain\n", stream.len()));
     let mode_row = |name: &str, len: usize, m: &cql_trace::MetricsSnapshot, d: Duration| {
         vec![
@@ -604,6 +600,27 @@ fn overhead(em: &mut Emitter) -> f64 {
     pct
 }
 
+/// One side of the E16/E17 fixpoint A/Bs on a fresh serial engine: the
+/// engine's naive or semi-naive driver, or (with a `baseline` fold) the
+/// same driver of `cql_bench::reference`.
+fn ab_fixpoint(
+    program: &datalog::Program<Dense>,
+    db: &cql_core::Database<Dense>,
+    semi: bool,
+    baseline: Option<cql_bench::reference::Fold>,
+) -> datalog::FixpointResult<Dense> {
+    use cql_bench::reference;
+    let opts = FixpointOptions::default();
+    let engine = opts.engine();
+    match (baseline, semi) {
+        (None, true) => datalog::seminaive_with(&engine, program, db, &opts),
+        (None, false) => datalog::symbolic::naive_with(&engine, program, db, &opts),
+        (Some(fold), true) => reference::seminaive(&engine, program, db, fold, &opts),
+        (Some(fold), false) => reference::naive(&engine, program, db, fold, &opts),
+    }
+    .expect("the A/B programs close")
+}
+
 /// E16 — filter-before-solve: summary-pruned joins and the QE memo
 /// cache, A/B on the transitive-closure fixpoint at 2^10 stream scale.
 ///
@@ -612,7 +629,7 @@ fn overhead(em: &mut Emitter) -> f64 {
 /// entailment checks, summed over both fixpoint engines). The selfcheck
 /// enforces `same_results && reduction >= 2`.
 fn filtering(em: &mut Emitter) -> (bool, f64) {
-    use cql_core::EnginePolicy;
+    use cql_bench::reference::Fold;
     em.section("e16", "filter-before-solve: summary pruning and the QE memo cache");
     em.note("naive + semi-naive TC over the 48-node dense chain (2^10-scale:");
     em.note("1176 closure tuples). Policy A/B — 'off' hands every disjunct pair");
@@ -623,21 +640,12 @@ fn filtering(em: &mut Emitter) -> (bool, f64) {
 
     let db = chain_edb_dense(48);
     let program = tc_program_dense();
+    // 'on' is the engine; 'off' is the exhaustive reference fold.
     let run = |semi: bool, filtering: bool| {
-        let opts = FixpointOptions {
-            policy: EnginePolicy::default().with_filtering(filtering),
-            ..FixpointOptions::default()
-        };
         let scope = MetricsScope::enter(if filtering { "e16.on" } else { "e16.off" });
-        let (tuples, d) = timed(|| {
-            let out = if semi {
-                datalog::seminaive(&program, &db, &opts).unwrap()
-            } else {
-                datalog::naive(&program, &db, &opts).unwrap()
-            };
-            out.idb.get("T").map_or(0, cql_core::GenRelation::len)
-        });
-        (tuples, scope.snapshot(), d)
+        let baseline = (!filtering).then_some(Fold::Exhaustive);
+        let (out, d) = timed(|| ab_fixpoint(&program, &db, semi, baseline));
+        (out.idb.get("T").map_or(0, cql_core::GenRelation::len), scope.snapshot(), d)
     };
 
     let mut rows = Vec::new();
@@ -700,7 +708,7 @@ fn filtering(em: &mut Emitter) -> (bool, f64) {
 /// (canonicalization requests + QE calls, summed over naive and
 /// semi-naive). The selfcheck enforces `byte_identical && reduction >= 2`.
 fn multiway(em: &mut Emitter) -> (bool, f64) {
-    use cql_core::EnginePolicy;
+    use cql_bench::reference::Fold;
     em.section("e17", "engine: constraint-aware multiway join vs binary-pruned fold");
     em.note("path-join program over the 24-node dense chain:");
     em.note("  T(x,w) :- T(x,y), E(y,z), E(z,w)   (3-atom recursive body)");
@@ -734,19 +742,12 @@ fn multiway(em: &mut Emitter) -> (bool, f64) {
         }
         lines.join("\n")
     };
+    // 'multiway' is the engine; 'binary' is the summary-pruned
+    // reference fold.
     let run = |semi: bool, multiway_on: bool| {
-        let opts = FixpointOptions {
-            policy: EnginePolicy::default().with_multiway(multiway_on),
-            ..FixpointOptions::default()
-        };
         let scope = MetricsScope::enter(if multiway_on { "e17.multiway" } else { "e17.binary" });
-        let (out, d) = timed(|| {
-            if semi {
-                datalog::seminaive(&program, &db, &opts).unwrap()
-            } else {
-                datalog::naive(&program, &db, &opts).unwrap()
-            }
-        });
+        let baseline = (!multiway_on).then_some(Fold::Pruned);
+        let (out, d) = timed(|| ab_fixpoint(&program, &db, semi, baseline));
         (render(&out), scope.snapshot(), d)
     };
 

@@ -7,6 +7,7 @@
 
 pub mod emitter;
 pub mod gate;
+pub mod reference;
 
 pub use emitter::Emitter;
 

@@ -149,9 +149,11 @@ struct RelStore<T: Theory> {
     tuples: Vec<GenTuple<T>>,
     /// Hashes of canonical tuples, for O(1) duplicate detection.
     seen: HashSet<u64>,
-    /// Signature + cached sample per tuple (parallel to `tuples`).
+    /// Signature + cached sample per tuple (parallel to `tuples` under
+    /// [`SubsumptionMode::Indexed`]; empty under `DedupOnly`, which never
+    /// reads it).
     meta: Vec<TupleMeta<T>>,
-    /// Signature value → indices into `tuples`.
+    /// Signature value → indices into `tuples` (empty under `DedupOnly`).
     buckets: HashMap<u64, Vec<usize>>,
 }
 
@@ -360,55 +362,12 @@ impl<T: Theory> GenRelation<T> {
             count(Counter::TuplesSubsumed, 1);
             return false;
         }
-        let mode = match self.policy.subsumption {
-            SubsumptionMode::DedupOnly => SubsumptionMode::DedupOnly,
-            SubsumptionMode::Quadratic => SubsumptionMode::Quadratic,
-            SubsumptionMode::Indexed => SubsumptionMode::Indexed,
-            SubsumptionMode::IndexedUpTo(n) => {
-                if self.store.tuples.len() <= n {
-                    SubsumptionMode::Indexed
-                } else {
-                    SubsumptionMode::DedupOnly
-                }
-            }
-        };
-        match mode {
-            SubsumptionMode::DedupOnly => {}
-            SubsumptionMode::Quadratic => {
-                if !self.quadratic_subsume(&tuple) {
-                    count(Counter::TuplesSubsumed, 1);
-                    return false;
-                }
-            }
-            SubsumptionMode::Indexed | SubsumptionMode::IndexedUpTo(_) => {
-                if !self.indexed_subsume(&tuple) {
-                    count(Counter::TuplesSubsumed, 1);
-                    return false;
-                }
-            }
+        if self.policy.subsumption == SubsumptionMode::Indexed && !self.indexed_subsume(&tuple) {
+            count(Counter::TuplesSubsumed, 1);
+            return false;
         }
         count(Counter::TuplesInserted, 1);
         self.push_tuple(tuple, h);
-        true
-    }
-
-    /// Quadratic baseline: scan every stored tuple in both directions.
-    /// Returns `false` if the new tuple is subsumed (caller must not push).
-    fn quadratic_subsume(&mut self, tuple: &GenTuple<T>) -> bool {
-        for t in &self.store.tuples {
-            count(Counter::EntailmentChecks, 1);
-            if T::entails(tuple.constraints(), t.constraints()) {
-                return false;
-            }
-        }
-        let mut evict = Vec::new();
-        for (i, t) in self.store.tuples.iter().enumerate() {
-            count(Counter::EntailmentChecks, 1);
-            if T::entails(t.constraints(), tuple.constraints()) {
-                evict.push(i);
-            }
-        }
-        self.remove_indices(&evict);
         true
     }
 
@@ -416,7 +375,7 @@ impl<T: Theory> GenRelation<T> {
     /// then candidates by cached sample points, then run the (few)
     /// remaining [`Theory::entails`] checks. Both filters are sound — a
     /// pruned candidate provably cannot participate in the subsumption —
-    /// so the resulting relation equals the quadratic baseline's.
+    /// so the resulting relation equals a pairwise scan's.
     fn indexed_subsume(&mut self, tuple: &GenTuple<T>) -> bool {
         let sig_new = T::signature(tuple.constraints());
         let sample_new = T::sample(tuple.constraints(), self.arity);
@@ -496,14 +455,15 @@ impl<T: Theory> GenRelation<T> {
         let mut k = 0;
         let seen = &mut store.seen;
         let tuples = std::mem::take(&mut store.tuples);
-        let meta = std::mem::take(&mut store.meta);
-        for (i, (t, m)) in tuples.into_iter().zip(meta).enumerate() {
+        let mut meta = std::mem::take(&mut store.meta).into_iter();
+        for (i, t) in tuples.into_iter().enumerate() {
+            let m = meta.next();
             if k < indices.len() && indices[k] == i {
                 k += 1;
                 seen.remove(&tuple_hash(&t));
             } else {
                 store.tuples.push(t);
-                store.meta.push(m);
+                store.meta.extend(m);
             }
         }
         store.rebuild_buckets();
@@ -511,11 +471,13 @@ impl<T: Theory> GenRelation<T> {
 
     fn push_tuple(&mut self, tuple: GenTuple<T>, hash: u64) {
         self.version = fresh_version();
-        let signature = T::signature(tuple.constraints());
         let store = Arc::make_mut(&mut self.store);
         store.seen.insert(hash);
-        store.buckets.entry(signature).or_default().push(store.tuples.len());
-        store.meta.push(TupleMeta { signature, sample: None });
+        if self.policy.subsumption == SubsumptionMode::Indexed {
+            let signature = T::signature(tuple.constraints());
+            store.buckets.entry(signature).or_default().push(store.tuples.len());
+            store.meta.push(TupleMeta { signature, sample: None });
+        }
         store.tuples.push(tuple);
     }
 
@@ -533,16 +495,21 @@ impl<T: Theory> GenRelation<T> {
     /// at insert time do **not** reappear (callers that need exact
     /// retraction semantics must rebuild from their own ledger).
     pub fn remove(&mut self, tuple: &GenTuple<T>) -> bool {
-        if !self.store.seen.contains(&tuple_hash(tuple)) {
-            return false;
-        }
-        match self.store.tuples.iter().position(|t| t == tuple) {
-            Some(i) => {
-                self.remove_indices(&[i]);
-                true
-            }
-            None => false,
-        }
+        self.remove_all(std::slice::from_ref(tuple)) == 1
+    }
+
+    /// [`GenRelation::remove`] for a batch of distinct tuples, compacting
+    /// the store once instead of once per tuple. Returns how many were
+    /// present.
+    pub fn remove_all(&mut self, tuples: &[GenTuple<T>]) -> usize {
+        let mut indices: Vec<usize> = tuples
+            .iter()
+            .filter(|t| self.store.seen.contains(&tuple_hash(t)))
+            .filter_map(|t| self.store.tuples.iter().position(|u| u == t))
+            .collect();
+        indices.sort_unstable();
+        self.remove_indices(&indices);
+        indices.len()
     }
 
     /// Does the point belong to the represented unrestricted relation?
@@ -703,6 +670,15 @@ impl<T: Theory> Database<T> {
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&GenRelation<T>> {
         self.relations.get(name)
+    }
+
+    /// Look up a relation for in-place mutation. Inserting through the
+    /// returned reference touches only this relation's store (copying it
+    /// first only if a snapshot still shares it), where a
+    /// get-clone-insert-replace round trip would copy a shared store on
+    /// every insert.
+    pub fn get_mut(&mut self, name: &str) -> Option<&mut GenRelation<T>> {
+        self.relations.get_mut(name)
     }
 
     /// Look up a relation, as a [`Result`].

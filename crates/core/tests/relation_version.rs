@@ -12,6 +12,7 @@ use cql_core::error::Result;
 use cql_core::relation::{GenRelation, GenTuple};
 use cql_core::summary::NoSummary;
 use cql_core::theory::{Theory, Var};
+use cql_core::{EnginePolicy, SubsumptionMode};
 use std::fmt;
 
 /// `x_v = c` over the integers: the smallest constraint language with a
@@ -165,6 +166,28 @@ fn remove_bumps_version_only_when_present() {
     assert_ne!(rel.version(), v);
     assert!(rel.is_empty());
     assert!(!rel.remove(&t));
+}
+
+#[test]
+fn batch_remove_compacts_once_and_keeps_subsumption_working() {
+    for mode in [SubsumptionMode::Indexed, SubsumptionMode::DedupOnly] {
+        let mut rel: GenRelation<PointEq> =
+            GenRelation::with_policy(2, EnginePolicy::with_subsumption(mode));
+        let ts: Vec<_> = (0..5).map(|i| tuple(&[(0, i), (1, i)])).collect();
+        for t in &ts {
+            rel.insert(t.clone());
+        }
+        let v = rel.version();
+        let batch = [ts[3].clone(), tuple(&[(0, 9)]), ts[1].clone()];
+        assert_eq!(rel.remove_all(&batch), 2, "absent tuples are skipped");
+        assert_ne!(rel.version(), v);
+        assert_eq!(rel.tuples(), [ts[0].clone(), ts[2].clone(), ts[4].clone()]);
+        // `x0 = 2` entails away `x0 = 2 ∧ x1 = 2` only when compressing:
+        // the signature index must survive the compaction.
+        assert!(rel.insert(tuple(&[(0, 2)])));
+        let expected = if mode == SubsumptionMode::Indexed { 3 } else { 4 };
+        assert_eq!(rel.len(), expected, "{mode:?}");
+    }
 }
 
 #[test]

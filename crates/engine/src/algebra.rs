@@ -44,16 +44,13 @@ pub fn select_with<T: Theory>(
         // Filter-before-solve: one summary for the selection constraints,
         // one per tuple; pairs whose summaries refute intersection are
         // unsatisfiable (soundness law) and skip the solver entirely.
-        let pruning = engine.policy.join_pruning;
-        let sel = pruning.then(|| T::summary(constraints));
+        let sel = T::summary(constraints);
         let tuples = engine.executor.map(rel.tuples().to_vec(), |t| {
-            if let Some(sel) = &sel {
-                count(Counter::PruneCandidates, 1);
-                if !sel.may_intersect(&T::summary(t.constraints())) {
-                    return None;
-                }
-                count(Counter::PruneSurvivors, 1);
+            count(Counter::PruneCandidates, 1);
+            if !sel.may_intersect(&T::summary(t.constraints())) {
+                return None;
             }
+            count(Counter::PruneSurvivors, 1);
             engine.conjoin(&t, constraints)
         });
         let mut out = engine.relation(rel.arity());
@@ -175,20 +172,13 @@ pub fn intersect_with<T: Theory>(
     op_timed("algebra.intersect", || {
         // Both sides share one column space, so summaries are directly
         // comparable: index the right side, probe per left tuple.
-        let index = engine
-            .policy
-            .join_pruning
-            .then(|| SummaryIndex::<T>::build(b.tuples().iter().map(|t| t.constraints())));
+        let index = SummaryIndex::<T>::build(b.tuples().iter().map(|t| t.constraints()));
         let tuples = engine.executor.flat_map(a.tuples().to_vec(), |ta| {
-            let bs = b.tuples();
-            match &index {
-                Some(index) => index
-                    .matches(&T::summary(ta.constraints()))
-                    .into_iter()
-                    .filter_map(|i| engine.conjoin(&ta, bs[i].constraints()))
-                    .collect::<Vec<_>>(),
-                None => bs.iter().filter_map(|tb| engine.conjoin(&ta, tb.constraints())).collect(),
-            }
+            index
+                .matches(&T::summary(ta.constraints()))
+                .into_iter()
+                .filter_map(|i| engine.conjoin(&ta, b.tuples()[i].constraints()))
+                .collect::<Vec<_>>()
         });
         let mut out = engine.relation(a.arity());
         for t in tuples {
@@ -250,10 +240,10 @@ pub fn join_with<T: Theory>(
     op_timed("algebra.join", || {
         let shift = a.arity();
         let eqs: Vec<T::Constraint> = on.iter().map(|&(l, r)| T::var_eq(l, r + shift)).collect();
-        if !engine.policy.join_pruning || on.is_empty() {
+        if on.is_empty() {
             return select_with(engine, &product_with(engine, a, b), &eqs);
         }
-        // Pruned path. The two sides live in disjoint column spaces, so
+        // The two sides live in disjoint column spaces, so
         // box summaries alone never conflict — but the join equalities
         // make the joined columns comparable: bucket the right side on
         // the join column its summaries bound most often, and probe with
@@ -262,7 +252,7 @@ pub fn join_with<T: Theory>(
         // the equality, so skipping it is sound. Each surviving pair is
         // conjoined in the same two steps as `select ∘ product` (product
         // conjunction, then the equality constraints), so the output is
-        // identical to the unpruned path minus the doomed pairs.
+        // identical to that composition minus the doomed pairs.
         let summaries: Vec<T::Summary> =
             b.tuples().iter().map(|t| T::summary(t.constraints())).collect();
         let (l0, r0) = *on

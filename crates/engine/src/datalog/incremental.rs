@@ -118,11 +118,10 @@ impl<T: Theory> MaterializedView<T> {
         let engine = opts.engine();
         let arities = program.arities()?;
         let idb_preds = program.idb_predicates();
-        let store_policy = store_policy(&opts);
         let mut stores = BTreeMap::new();
         let mut counts = BTreeMap::new();
         for (name, &arity) in &arities {
-            stores.insert(name.clone(), GenRelation::with_policy(arity, store_policy));
+            stores.insert(name.clone(), GenRelation::with_policy(arity, STORE_POLICY));
             if idb_preds.contains(name) {
                 counts.insert(name.clone(), HashMap::new());
             }
@@ -358,7 +357,6 @@ impl<T: Theory> MaterializedView<T> {
     /// round adds them, then fires every (rule, delta position) with
     /// the inclusion–exclusion bindings of [`bind_positions`].
     fn propagate_insertions(&mut self, mut delta: Delta<T>) -> Result<()> {
-        let store_policy = store_policy(&self.opts);
         let MaterializedView {
             program,
             opts,
@@ -383,7 +381,7 @@ impl<T: Theory> MaterializedView<T> {
             let mut drels: BTreeMap<String, GenRelation<T>> = BTreeMap::new();
             for (name, tuples) in &delta {
                 old.insert(name.clone(), stores[name].clone());
-                let mut drel = GenRelation::with_policy(arities[name], store_policy);
+                let mut drel = GenRelation::with_policy(arities[name], STORE_POLICY);
                 let store = stores.get_mut(name).expect("known predicate");
                 for t in tuples {
                     let added = store.insert(t.clone());
@@ -430,7 +428,6 @@ impl<T: Theory> MaterializedView<T> {
     /// enumeration as insertion, then re-derive over-deleted tuples
     /// whose residual count shows surviving support.
     fn propagate_retraction(&mut self, relation: &str, tuple: GenTuple<T>) -> Result<()> {
-        let store_policy = store_policy(&self.opts);
         let mut reinserts: Delta<T> = BTreeMap::new();
         {
             let MaterializedView {
@@ -464,11 +461,10 @@ impl<T: Theory> MaterializedView<T> {
                 let mut drels: BTreeMap<String, GenRelation<T>> = BTreeMap::new();
                 for (name, tuples) in &d {
                     old.insert(name.clone(), stores[name].clone());
-                    let mut drel = GenRelation::with_policy(arities[name], store_policy);
-                    let store = stores.get_mut(name).expect("known predicate");
+                    let mut drel = GenRelation::with_policy(arities[name], STORE_POLICY);
+                    let removed = stores.get_mut(name).expect("known predicate").remove_all(tuples);
+                    debug_assert_eq!(removed, tuples.len(), "deletion delta tuples are stored");
                     for t in tuples {
-                        let removed = store.remove(t);
-                        debug_assert!(removed, "deletion delta tuples are stored");
                         if idb_preds.contains(name) {
                             journal.entry(name.clone()).or_default().push((false, t.clone()));
                         }
@@ -534,12 +530,10 @@ impl<T: Theory> MaterializedView<T> {
     }
 }
 
-/// The derivation stores' policy: the caller's engine policy with
-/// subsumption compression off (stores key support counts by exact
-/// derived tuple, so nothing may be evicted or rejected as subsumed).
-fn store_policy(opts: &FixpointOptions) -> EnginePolicy {
-    EnginePolicy { subsumption: SubsumptionMode::DedupOnly, ..opts.policy }
-}
+/// The derivation stores' policy: subsumption compression off (stores
+/// key support counts by exact derived tuple, so nothing may be evicted
+/// or rejected as subsumed).
+const STORE_POLICY: EnginePolicy = EnginePolicy { subsumption: SubsumptionMode::DedupOnly };
 
 /// Bind one firing's relations: position `delta_at` reads the delta,
 /// positions before it read `new` (this round's change applied),

@@ -1,12 +1,12 @@
 //! Per-rule multiway join planning for symbolic rule firing.
 //!
-//! The binary `conjoin_atom` fold pays a solver call (an interner
-//! canonicalization) per *intermediate* pair that survives summary
-//! pruning; with three or more relational body atoms the intermediate
-//! products are the quadratic wall. The multiway path instead picks a
-//! **variable elimination order** per rule (join variables first,
-//! frequency-weighted, deterministic on ties), builds one
-//! [`SummaryLevel`](crate::summary_index::SummaryLevel) per
+//! A binary left-to-right fold over the body atoms pays a solver call
+//! (an interner canonicalization) per *intermediate* pair that survives
+//! summary pruning; with three or more relational body atoms the
+//! intermediate products are the quadratic wall. The multiway join
+//! instead picks a **variable elimination order** per rule (join
+//! variables first, frequency-weighted, deterministic on ties), builds
+//! one [`SummaryLevel`](crate::summary_index::SummaryLevel) per
 //! (atom, variable) from the per-variable summary projections — interval
 //! spans for the dense/poly box summaries, partition point-ranges for
 //! equality, degenerate catch-all levels for the boolean masks — and
@@ -17,12 +17,13 @@
 //! Soundness is the summary soundness law plus interval-hull reasoning:
 //! every filter only discards combinations whose conjunction is provably
 //! unsatisfiable, so the multiway result equals the binary fold's (the
-//! property tests in `pruning_equivalence.rs` pin this for all four
-//! theories). For box summaries the per-variable hull intersection is
-//! also *exact* on the hulls (Helly's theorem in one dimension: pairwise
-//! interval intersection at each variable implies a common point per
-//! variable), which is why the accumulated-bounds probe loses nothing
-//! against the pairwise `may_intersect` checks it complements.
+//! property tests in `cql-bench`'s `pruning_equivalence.rs` pin this
+//! against its reference fold for all four theories). For box summaries
+//! the per-variable hull intersection is also *exact* on the hulls
+//! (Helly's theorem in one dimension: pairwise interval intersection at
+//! each variable implies a common point per variable), which is why the
+//! accumulated-bounds probe loses nothing against the pairwise
+//! `may_intersect` checks it complements.
 //!
 //! `PlanCache` memoizes, per fixpoint run: the per-rule [`JoinPlan`]
 //! (rule structure never changes mid-run), and the per-atom renamed
@@ -32,7 +33,7 @@
 //! [`Counter::SummaryIndexReuses`]).
 
 use crate::datalog::ast::{Literal, Program, Rule};
-use crate::summary_index::{majority_dim, SummaryIndex, SummaryTrie};
+use crate::summary_index::SummaryTrie;
 use cql_arith::Rat;
 use cql_core::relation::{GenRelation, GenTuple};
 use cql_core::summary::ConstraintSummary;
@@ -106,8 +107,7 @@ fn distinct_vars(vars: &[Var]) -> Vec<Var> {
 
 /// One body atom's data for the join, renamed into the rule's variable
 /// space and summarized once per (relation version, variable map). The
-/// probing structures are built lazily so a cache entry serves both the
-/// multiway path (levels) and the binary fold (one-dimensional index).
+/// per-variable levels are built lazily, on the first probe.
 pub(crate) struct AtomData<T: Theory> {
     /// Tuple conjunctions renamed into rule variables.
     pub renamed: Vec<Vec<T::Constraint>>,
@@ -116,7 +116,6 @@ pub(crate) struct AtomData<T: Theory> {
     /// Distinct rule variables the atom binds.
     pub vars: Vec<Var>,
     trie: OnceLock<SummaryTrie>,
-    index: OnceLock<Option<SummaryIndex<T>>>,
 }
 
 impl<T: Theory> AtomData<T> {
@@ -124,33 +123,12 @@ impl<T: Theory> AtomData<T> {
         let renamed: Vec<Vec<T::Constraint>> =
             rel.tuples().iter().map(|u| u.rename(&|j| atom_vars[j])).collect();
         let summaries: Vec<T::Summary> = renamed.iter().map(|c| T::summary(c)).collect();
-        AtomData {
-            renamed,
-            summaries,
-            vars: distinct_vars(atom_vars),
-            trie: OnceLock::new(),
-            index: OnceLock::new(),
-        }
+        AtomData { renamed, summaries, vars: distinct_vars(atom_vars), trie: OnceLock::new() }
     }
 
-    /// Per-variable summary levels (multiway path).
+    /// Per-variable summary levels.
     pub fn trie(&self) -> &SummaryTrie {
         self.trie.get_or_init(|| SummaryTrie::build(&self.summaries, &self.vars))
-    }
-
-    /// One-dimensional summary index (binary fold path); `None` when
-    /// join pruning is off.
-    pub fn index(&self, pruning: bool) -> Option<&SummaryIndex<T>> {
-        self.index
-            .get_or_init(|| {
-                pruning.then(|| {
-                    SummaryIndex::with_summaries(
-                        self.summaries.clone(),
-                        majority_dim(&self.summaries),
-                    )
-                })
-            })
-            .as_ref()
     }
 }
 
@@ -253,7 +231,8 @@ impl<T: Theory> PlanCache<T> {
         self.telemetry[rule_idx].survivors += survivors;
     }
 
-    /// EXPLAIN rows for every rule that was multiway-planned this run.
+    /// EXPLAIN rows for every rule fired this run (every firing is
+    /// planned).
     pub fn plan_stats(&self, program: &Program<T>) -> Vec<PlanStats> {
         self.plans
             .iter()

@@ -19,23 +19,21 @@
 //! for Datalog with polynomial constraints (Example 1.12).
 //!
 //! Each engine threads an [`Engine`] context through rule firing: the
-//! per-round batches of tuple conjunctions and quantifier eliminations run
-//! on its executor, and every derived conjunction is canonicalized through
-//! its interner (so re-derivations across rounds skip the solver). The
-//! plain entry points build a context from [`FixpointOptions`]; the
-//! `*_with` variants accept a caller-owned one, sharing its interner
-//! across calls.
+//! per-round batches of quantifier eliminations and canonicalizations
+//! run on its executor, and every derived conjunction is canonicalized
+//! through its interner (so re-derivations across rounds skip the
+//! solver). The plain entry points build a context from
+//! [`FixpointOptions`]; the `*_with` variants accept a caller-owned one,
+//! sharing its interner across calls.
 //!
-//! Rule bodies with two or more relational atoms default to the
-//! **multiway join** of [`super::plan`] (see
-//! [`EnginePolicy::multiway_join`]): instead of folding atoms
-//! left-to-right and canonicalizing every intermediate pair, a per-rule
-//! [`JoinPlan`](super::plan::JoinPlan) picks a variable elimination
-//! order, per-atom summary levels are leapfrog-intersected, and the
-//! solver sees one conjunction per surviving *full* combination. The
-//! binary fold remains both the fallback (`multiway_join: false`, or a
-//! single relational atom) and the equivalence baseline in the property
-//! tests.
+//! Every rule body is joined one way, by the **multiway join** of
+//! [`super::plan`]: constraint literals seed a base conjunction, a
+//! per-rule [`JoinPlan`](super::plan::JoinPlan) picks a variable
+//! elimination order, per-atom summary levels are leapfrog-intersected,
+//! and the solver sees one conjunction per surviving *full* combination
+//! instead of one per intermediate pair. The batch engines and the
+//! counted firing of incremental maintenance share that join and differ
+//! only in what they do with its output.
 
 use crate::datalog::ast::{Atom, Literal, Program, Rule};
 use crate::datalog::plan::{multiway_join, AtomData, PlanCache};
@@ -200,54 +198,12 @@ impl<'a, T: Theory> BodyCtx<'a, T> {
     }
 }
 
-/// Run `f` over `items` — serially when the batch is below the policy's
-/// [`EnginePolicy::serial_batch_threshold`] (skipping executor dispatch,
-/// its spans, and its scope bookkeeping for tiny batches), on the
-/// engine's executor otherwise.
-fn map_batch<T: Theory, I: Send, O: Send>(
-    engine: &Engine<T>,
-    items: Vec<I>,
-    f: impl Fn(I) -> O + Sync,
-) -> Vec<O> {
-    if items.len() < engine.policy.serial_batch_threshold {
-        items.into_iter().map(f).collect()
-    } else {
-        engine.executor.map(items, f)
-    }
-}
-
-/// [`map_batch`] with per-item vector results, flattened in item order.
-fn flat_map_batch<T: Theory, I: Send, O: Send>(
-    engine: &Engine<T>,
-    items: Vec<I>,
-    f: impl Fn(I) -> Vec<O> + Sync,
-) -> Vec<O> {
-    if items.len() < engine.policy.serial_batch_threshold {
-        items.into_iter().flat_map(f).collect()
-    } else {
-        engine.executor.flat_map(items, f)
-    }
-}
-
-/// Order-preserving dedup (interned tuples make the hashing cheap).
-fn dedup_ordered<T: Theory>(tuples: impl IntoIterator<Item = GenTuple<T>>) -> Vec<GenTuple<T>> {
-    let mut seen: HashSet<GenTuple<T>> = HashSet::new();
-    let mut out = Vec::new();
-    for t in tuples {
-        if seen.insert(t.clone()) {
-            out.push(t);
-        }
-    }
-    out
-}
-
 /// Fire one rule against an instance; returns head tuples over `0..k`.
 ///
-/// The body join runs multiway (variable-at-a-time, one solver call per
-/// surviving full combination) when the policy allows it and the body
-/// has at least two relational atoms; otherwise it is the binary
-/// left-to-right fold. Both paths share the quantifier-elimination and
-/// head-renaming stages below.
+/// The body join's surviving combinations are canonicalized and
+/// deduplicated (equal combinations derive equal heads), then projected
+/// onto the head. Negated literals read the DNF complement of the
+/// current stage, computed at most once per relation per round.
 fn fire_rule<T: Theory>(
     engine: &Engine<T>,
     rule_idx: usize,
@@ -256,18 +212,26 @@ fn fire_rule<T: Theory>(
     complements: &mut BTreeMap<String, GenRelation<T>>,
     cache: &mut PlanCache<T>,
 ) -> Result<Vec<GenTuple<T>>> {
-    let rel_atoms = rule.body.iter().filter(|lit| !matches!(lit, Literal::Constraint(_))).count();
-    let acc = if engine.policy.multiway_join && rel_atoms >= 2 {
-        fire_body_multiway(engine, rule_idx, rule, ctx, complements, cache)?
-    } else {
-        fire_body_binary(engine, rule, ctx, complements, cache)?
+    let relation = |li: usize| match &rule.body[li] {
+        Literal::Pos(a) => ctx.positive(li, a).cloned(),
+        Literal::Neg(a) => Ok(complements
+            .entry(a.relation.clone())
+            .or_insert_with(|| {
+                instance_relation(&a.relation, ctx.edb, ctx.idb).expect("validated").complement()
+            })
+            .clone()),
+        Literal::Constraint(_) => unreachable!("plans order relational literals only"),
     };
-    if acc.is_empty() {
-        return Ok(Vec::new());
-    }
-    let conjs: Vec<Vec<T::Constraint>> =
-        acc.into_iter().map(|t| t.constraints().to_vec()).collect();
-    project_conjs(engine, rule, conjs)
+    let conjs = join_body(engine, rule_idx, rule, relation, cache)?;
+    let interned = engine.executor.map(conjs, |conj| engine.intern(conj));
+    let mut seen = HashSet::new();
+    let distinct: Vec<Vec<T::Constraint>> = interned
+        .into_iter()
+        .flatten()
+        .filter(|t| seen.insert(t.clone()))
+        .map(|t| t.constraints().to_vec())
+        .collect();
+    project_conjs(engine, rule, distinct)
 }
 
 /// The shared tail of rule firing: quantify away the non-head variables
@@ -277,7 +241,7 @@ fn fire_rule<T: Theory>(
 /// ([`fire_rule`]) tolerate the duplicates (relation insert dedups);
 /// the counted firing of incremental maintenance *depends* on them (each
 /// output is one derivation).
-pub(crate) fn project_conjs<T: Theory>(
+fn project_conjs<T: Theory>(
     engine: &Engine<T>,
     rule: &Rule<T>,
     mut conjs: Vec<Vec<T::Constraint>>,
@@ -291,7 +255,7 @@ pub(crate) fn project_conjs<T: Theory>(
         if head_vars.contains(&v) {
             continue;
         }
-        let eliminated: Vec<Result<Vec<Vec<T::Constraint>>>> = map_batch(engine, conjs, |conj| {
+        let eliminated: Vec<Result<Vec<Vec<T::Constraint>>>> = engine.executor.map(conjs, |conj| {
             if conj.iter().any(|c| T::vars(c).contains(&v)) {
                 engine.eliminate_cached(&conj, v)
             } else {
@@ -310,7 +274,7 @@ pub(crate) fn project_conjs<T: Theory>(
     for (i, &v) in rule.head.vars.iter().enumerate() {
         position[v] = i;
     }
-    let out = map_batch(engine, conjs, |conj| {
+    let out = engine.executor.map(conjs, |conj| {
         for c in &conj {
             for v in T::vars(c) {
                 debug_assert_ne!(position[v], usize::MAX, "variable survived elimination");
@@ -333,16 +297,16 @@ pub(crate) fn project_conjs<T: Theory>(
 /// multiplicities, so both the insertion and the over-deletion phases
 /// must enumerate derivations identically — which they get for free by
 /// sharing this function, differing only in which relations they bind to
-/// each literal. The body join always runs multiway (the summary search
-/// only discards provably unsatisfiable combinations, which contribute
-/// no output either way, so counts are unaffected by pruning).
+/// each literal. The summary search only discards provably
+/// unsatisfiable combinations, which contribute no output either way, so
+/// counts are unaffected by pruning.
 ///
 /// `rels[li]` is the relation positive literal `li` reads; entries for
 /// constraint literals are ignored.
 ///
 /// # Panics
 /// Debug-asserts the rule has no negated literals (callers validate the
-/// program as positive) and that every relational literal is bound.
+/// program as positive); panics if a relational literal is unbound.
 pub(crate) fn fire_rule_counted<T: Theory>(
     engine: &Engine<T>,
     rule_idx: usize,
@@ -350,94 +314,34 @@ pub(crate) fn fire_rule_counted<T: Theory>(
     rels: &[Option<&GenRelation<T>>],
     cache: &mut PlanCache<T>,
 ) -> Result<Vec<GenTuple<T>>> {
-    let mut base = GenTuple::top();
-    for lit in &rule.body {
-        debug_assert!(!matches!(lit, Literal::Neg(_)), "counted firing is for positive programs");
-        if let Literal::Constraint(c) = lit {
-            match engine.conjoin(&base, std::slice::from_ref(c)) {
-                Some(t) => base = t,
-                None => return Ok(Vec::new()),
-            }
-        }
-    }
-    let plan = cache.plan(rule_idx, rule);
-    let mut atoms: Vec<std::sync::Arc<AtomData<T>>> = Vec::with_capacity(plan.atom_order.len());
-    for &li in &plan.atom_order {
-        let Literal::Pos(a) = &rule.body[li] else {
-            unreachable!("plans order relational literals only")
-        };
-        let rel = rels[li].expect("every relational literal needs a bound relation");
-        let data = cache.atom_data(rel, &a.vars);
-        if data.renamed.is_empty() {
-            return Ok(Vec::new());
-        }
-        atoms.push(data);
-    }
-    let (conjs, probes, survivors) = multiway_join(&atoms, &base, rule.var_count());
-    count(Counter::MultiwayProbes, probes);
-    count(Counter::MultiwaySurvivors, survivors);
-    record_hist(hist::MULTIWAY_FANOUT, probes);
-    cache.record(rule_idx, probes, survivors);
+    debug_assert!(
+        !rule.body.iter().any(|lit| matches!(lit, Literal::Neg(_))),
+        "counted firing is for positive programs"
+    );
+    let relation =
+        |li: usize| Ok(rels[li].expect("every relational literal needs a bound relation").clone());
+    let conjs = join_body(engine, rule_idx, rule, relation, cache)?;
     project_conjs(engine, rule, conjs)
 }
 
-/// Binary body join: fold the literals left to right, canonicalizing
-/// every intermediate conjunction. With
-/// [`EnginePolicy::join_pruning`] on, each atom's cached summary index
-/// restricts the product to candidates whose summaries may intersect
-/// the partial's — both live in the rule's variable space, so shared
-/// variables (the join variables of the rule body) prune directly.
-fn fire_body_binary<T: Theory>(
-    engine: &Engine<T>,
-    rule: &Rule<T>,
-    ctx: &BodyCtx<'_, T>,
-    complements: &mut BTreeMap<String, GenRelation<T>>,
-    cache: &mut PlanCache<T>,
-) -> Result<Vec<GenTuple<T>>> {
-    let mut acc: Vec<GenTuple<T>> = vec![GenTuple::top()];
-    for (li, lit) in rule.body.iter().enumerate() {
-        match lit {
-            Literal::Constraint(c) => {
-                acc = acc
-                    .into_iter()
-                    .filter_map(|t| engine.conjoin(&t, std::slice::from_ref(c)))
-                    .collect();
-            }
-            Literal::Pos(a) => {
-                let data = cache.atom_data(ctx.positive(li, a)?, &a.vars);
-                acc = conjoin_atom(engine, acc, &data);
-            }
-            Literal::Neg(a) => {
-                let compl = complements.entry(a.relation.clone()).or_insert_with(|| {
-                    instance_relation(&a.relation, ctx.edb, ctx.idb)
-                        .expect("validated")
-                        .complement()
-                });
-                let data = cache.atom_data(compl, &a.vars);
-                acc = conjoin_atom(engine, acc, &data);
-            }
-        }
-        if acc.is_empty() {
-            return Ok(Vec::new());
-        }
-    }
-    Ok(acc)
-}
-
-/// Multiway body join: constraint literals seed a base conjunction, the
+/// The rule-body join (Definition 1.10's conjunction of the body's
+/// generalized tuples): constraint literals seed a base conjunction, the
 /// rule's cached [`JoinPlan`](super::plan::JoinPlan) orders the
-/// relational atoms, and the leapfrog search of
-/// [`multiway_join`] enumerates candidate combinations that every
-/// atom's summary admits — the solver canonicalizes one conjunction per
-/// surviving full combination instead of one per intermediate pair.
-fn fire_body_multiway<T: Theory>(
+/// relational atoms — negated atoms as the complements `relation`
+/// supplies — and the leapfrog search of [`multiway_join`] enumerates
+/// the combinations every atom's summary admits. Returns those
+/// combinations as raw conjunctions in the rule's variable space, one
+/// per surviving combination.
+///
+/// `relation(li)` is the relation body literal `li` reads (an O(1)
+/// copy-on-write clone).
+fn join_body<T: Theory>(
     engine: &Engine<T>,
     rule_idx: usize,
     rule: &Rule<T>,
-    ctx: &BodyCtx<'_, T>,
-    complements: &mut BTreeMap<String, GenRelation<T>>,
+    mut relation: impl FnMut(usize) -> Result<GenRelation<T>>,
     cache: &mut PlanCache<T>,
-) -> Result<Vec<GenTuple<T>>> {
+) -> Result<Vec<Vec<T::Constraint>>> {
     let mut base = GenTuple::top();
     for lit in &rule.body {
         if let Literal::Constraint(c) = lit {
@@ -450,18 +354,10 @@ fn fire_body_multiway<T: Theory>(
     let plan = cache.plan(rule_idx, rule);
     let mut atoms: Vec<std::sync::Arc<AtomData<T>>> = Vec::with_capacity(plan.atom_order.len());
     for &li in &plan.atom_order {
-        let data = match &rule.body[li] {
-            Literal::Pos(a) => cache.atom_data(ctx.positive(li, a)?, &a.vars),
-            Literal::Neg(a) => {
-                let compl = complements.entry(a.relation.clone()).or_insert_with(|| {
-                    instance_relation(&a.relation, ctx.edb, ctx.idb)
-                        .expect("validated")
-                        .complement()
-                });
-                cache.atom_data(compl, &a.vars)
-            }
-            Literal::Constraint(_) => unreachable!("plans order relational literals only"),
+        let (Literal::Pos(a) | Literal::Neg(a)) = &rule.body[li] else {
+            unreachable!("plans order relational literals only")
         };
+        let data = cache.atom_data(&relation(li)?, &a.vars);
         if data.renamed.is_empty() {
             return Ok(Vec::new());
         }
@@ -472,31 +368,7 @@ fn fire_body_multiway<T: Theory>(
     count(Counter::MultiwaySurvivors, survivors);
     record_hist(hist::MULTIWAY_FANOUT, probes);
     cache.record(rule_idx, probes, survivors);
-    let interned = map_batch(engine, conjs, |conj| engine.intern(conj));
-    Ok(dedup_ordered(interned.into_iter().flatten()))
-}
-
-/// Conjoin every partial tuple with every renamed tuple of the atom: the
-/// cartesian product step of the binary fold, parallelized over the
-/// partials. The atom's renamed tuples, summaries and one-dimensional
-/// summary index come from the run's [`PlanCache`], so unchanged
-/// relations are renamed and indexed once per run rather than once per
-/// round.
-fn conjoin_atom<T: Theory>(
-    engine: &Engine<T>,
-    acc: Vec<GenTuple<T>>,
-    data: &AtomData<T>,
-) -> Vec<GenTuple<T>> {
-    let index = data.index(engine.policy.join_pruning);
-    let products = flat_map_batch(engine, acc, |partial| match index {
-        Some(index) => index
-            .matches(&T::summary(partial.constraints()))
-            .into_iter()
-            .filter_map(|i| engine.conjoin(&partial, &data.renamed[i]))
-            .collect::<Vec<_>>(),
-        None => data.renamed.iter().filter_map(|r| engine.conjoin(&partial, r)).collect(),
-    });
-    dedup_ordered(products)
+    Ok(conjs)
 }
 
 fn check_budget<T: Theory>(
@@ -623,13 +495,10 @@ fn fixpoint_rounds<T: Theory>(
         let produced = staged.len();
         let mut delta = 0;
         for (name, t) in staged {
-            let rel = idb.get(&name).expect("initialized").clone();
-            let mut rel = rel;
-            if rel.insert(t) {
+            if idb.get_mut(&name).expect("initialized").insert(t) {
                 changed = true;
                 delta += 1;
             }
-            idb.insert(name, rel);
         }
         iterations += 1;
         let wall_ns = record_round_wall(round_start);
@@ -647,7 +516,7 @@ fn fixpoint_rounds<T: Theory>(
 
 /// [`naive`] with per-round EXPLAIN telemetry: returns the fixpoint, one
 /// [`RoundStats`] per round (see `RoundLog` for what each field
-/// attributes where), and one [`PlanStats`] per multiway-planned rule.
+/// attributes where), and one [`PlanStats`] per rule fired this run.
 ///
 /// # Errors
 /// As [`naive`].
@@ -763,13 +632,9 @@ fn seminaive_rounds<T: Theory>(
         )?;
         for t in fired {
             produced += 1;
-            let mut rel = idb.get(&rule.head.relation).expect("init").clone();
-            if rel.insert(t.clone()) {
-                let mut d = delta.get(&rule.head.relation).expect("init").clone();
-                d.insert(t);
-                delta.insert(rule.head.relation.clone(), d);
+            if idb.get_mut(&rule.head.relation).expect("init").insert(t.clone()) {
+                delta.get_mut(&rule.head.relation).expect("init").insert(t);
             }
-            idb.insert(rule.head.relation.clone(), rel);
         }
     }
     iterations += 1;
@@ -810,13 +675,9 @@ fn seminaive_rounds<T: Theory>(
                 )?;
                 for t in fired {
                     produced += 1;
-                    let mut rel = idb.get(&rule.head.relation).expect("init").clone();
-                    if rel.insert(t.clone()) {
-                        let mut d = next_delta.get(&rule.head.relation).expect("init").clone();
-                        d.insert(t);
-                        next_delta.insert(rule.head.relation.clone(), d);
+                    if idb.get_mut(&rule.head.relation).expect("init").insert(t.clone()) {
+                        next_delta.get_mut(&rule.head.relation).expect("init").insert(t);
                     }
-                    idb.insert(rule.head.relation.clone(), rel);
                 }
             }
         }

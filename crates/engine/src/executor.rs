@@ -23,7 +23,8 @@
 use cql_trace::{current_handle, span};
 
 /// Environment variable read by [`Executor::from_env`]; the CI matrix
-/// runs the engine property tests at 1 and 4 threads through it.
+/// runs the engine test suites and the `cql-bench` equivalence suites at
+/// 1 and 8 threads through it.
 pub const THREADS_ENV: &str = "CQL_ENGINE_THREADS";
 
 /// A fixed-width scoped-thread map over independent jobs.

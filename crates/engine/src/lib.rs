@@ -21,8 +21,16 @@
 //!   tuples share one `Arc`'d representation;
 //! * [`Executor`] — one scoped-thread parallel map used by every
 //!   evaluator instead of per-module thread pools;
-//! * `cql_core`'s [`EnginePolicy`] — the subsumption/compression knob
-//!   every relation created during evaluation inherits.
+//! * `cql_core`'s [`EnginePolicy`] — the one tuning knob, subsumption
+//!   compression, which every relation created during evaluation
+//!   inherits.
+//!
+//! Filter-before-solve is not a knob: algebra joins and selections
+//! always consult per-relation summary indexes, every Datalog rule body
+//! runs the planned multiway join, and QE always goes through the
+//! engine's memo cache. Each filter is sound, so none can change an
+//! answer; the unfiltered baselines the paper's A/B experiments measure
+//! against live in `cql-bench`'s `reference` module.
 //!
 //! An [`Engine`] value bundles the three; evaluators take it by
 //! reference through their `*_with` entry points, while the plain entry
@@ -164,9 +172,8 @@ impl<T: Theory> Engine<T> {
         rows
     }
 
-    /// `∃ var. conj` through the engine's QE memo cache (a direct theory
-    /// call when [`EnginePolicy::qe_cache`] is off). All evaluator QE
-    /// goes through here, so fixpoint rounds that re-derive a
+    /// `∃ var. conj` through the engine's QE memo cache. All evaluator
+    /// QE goes through here, so fixpoint rounds that re-derive a
     /// conjunction skip the solver entirely on the repeat.
     ///
     /// # Errors
@@ -176,10 +183,6 @@ impl<T: Theory> Engine<T> {
         conj: &[T::Constraint],
         var: Var,
     ) -> Result<Vec<Vec<T::Constraint>>> {
-        if self.policy.qe_cache {
-            self.qe_cache.eliminate(conj, var)
-        } else {
-            T::eliminate(conj, var)
-        }
+        self.qe_cache.eliminate(conj, var)
     }
 }

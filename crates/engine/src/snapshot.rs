@@ -159,8 +159,7 @@ impl<T: Theory> SnapshotStore<T> {
     /// As [`MaterializedView::new`].
     pub fn new(program: Program<T>, edb: &Database<T>, opts: FixpointOptions) -> Result<Self> {
         let known = program.arities()?;
-        let passthrough_policy =
-            EnginePolicy { subsumption: SubsumptionMode::DedupOnly, ..opts.policy };
+        let passthrough_policy = EnginePolicy::with_subsumption(SubsumptionMode::DedupOnly);
         let mut extra = BTreeMap::new();
         let mut known_db = Database::new();
         for (name, rel) in edb.iter() {

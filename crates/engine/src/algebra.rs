@@ -45,20 +45,59 @@ pub fn select_with<T: Theory>(
         // one per tuple; pairs whose summaries refute intersection are
         // unsatisfiable (soundness law) and skip the solver entirely.
         let sel = T::summary(constraints);
-        let tuples = engine.executor.map(rel.tuples().to_vec(), |t| {
+        select_among(engine, rel.arity(), rel.tuples().to_vec(), constraints, |t| {
             count(Counter::PruneCandidates, 1);
-            if !sel.may_intersect(&T::summary(t.constraints())) {
-                return None;
+            let keep = sel.may_intersect(&T::summary(t.constraints()));
+            if keep {
+                count(Counter::PruneSurvivors, 1);
             }
-            count(Counter::PruneSurvivors, 1);
-            engine.conjoin(&t, constraints)
-        });
-        let mut out = engine.relation(rel.arity());
-        for t in tuples.into_iter().flatten() {
-            out.insert(t);
-        }
-        out
+            keep
+        })
     })
+}
+
+/// [`select_with`] with the candidates drawn from a prebuilt
+/// [`SummaryIndex`] over `rel`'s tuples (in relation order) instead of a
+/// scan. The index applies the same summary test, so the result —
+/// tuple order included — is identical to [`select_with`]'s; only the
+/// tuples the index rules out are never touched.
+#[must_use]
+pub(crate) fn select_indexed<T: Theory>(
+    engine: &Engine<T>,
+    rel: &GenRelation<T>,
+    index: &SummaryIndex<T>,
+    constraints: &[T::Constraint],
+) -> GenRelation<T> {
+    debug_assert_eq!(index.len(), rel.len(), "index built over another relation");
+    op_timed("algebra.select", || {
+        let mut hits = index.matches(&T::summary(constraints));
+        hits.sort_unstable();
+        let candidates = hits.into_iter().map(|i| rel.tuples()[i].clone()).collect();
+        select_among(engine, rel.arity(), candidates, constraints, |_| true)
+    })
+}
+
+/// The one select body: conjoin each admitted candidate with the
+/// selection constraints on the executor, inserting survivors in
+/// candidate order.
+fn select_among<T: Theory>(
+    engine: &Engine<T>,
+    arity: usize,
+    candidates: Vec<GenTuple<T>>,
+    constraints: &[T::Constraint],
+    admit: impl Fn(&GenTuple<T>) -> bool + Sync,
+) -> GenRelation<T> {
+    let tuples = engine.executor.map(candidates, |t| {
+        if !admit(&t) {
+            return None;
+        }
+        engine.conjoin(&t, constraints)
+    });
+    let mut out = engine.relation(arity);
+    for t in tuples.into_iter().flatten() {
+        out.insert(t);
+    }
+    out
 }
 
 /// π — project onto `columns` (in the given order): quantifier-eliminate

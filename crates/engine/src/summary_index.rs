@@ -23,7 +23,9 @@
 //! The index is rebuilt at operator entry (`O(n)` summaries) rather than
 //! maintained incrementally: relations mutate freely between operators,
 //! and the build cost is dwarfed by even a handful of avoided solver
-//! calls.
+//! calls. The snapshot runtime likewise builds one per published
+//! relation version, on first read, and shares it across readers
+//! (`snapshot.rs`).
 
 use cql_arith::Rat;
 use cql_core::summary::ConstraintSummary;

@@ -10,12 +10,15 @@
 //! against the batch result. Torn state — any interleaving where the
 //! published database mixes two commits — fails the comparison, because
 //! no serial prefix of the commit sequence produces that (E, T) pair
-//! with T = closure(E).
+//! with T = closure(E). Each read also runs an indexed `Runtime::query`
+//! and checks it against the select scan over the same pinned epoch, so
+//! a read index shared across epochs can never answer for the wrong
+//! relation version.
 
 use cql_core::relation::{Database, GenRelation, GenTuple};
 use cql_dense::{Dense, DenseConstraint};
 use cql_engine::datalog::{seminaive, Atom, FixpointOptions, Literal, Program, Rule};
-use cql_engine::Runtime;
+use cql_engine::{algebra, Runtime};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -99,6 +102,20 @@ fn readers_never_observe_a_partial_commit() {
                             render(batch.idb.require("T").expect("closure")),
                             "pinned T must equal the serial closure of pinned E \
                              (epoch {})",
+                            snap.epoch()
+                        );
+                        // The indexed read of this epoch equals the scan:
+                        // rows of component `c`, from its middle node on.
+                        let c = reads as i64 % 20;
+                        let sel = [
+                            DenseConstraint::ge_const(0, 10 * c + 2),
+                            DenseConstraint::le_const(0, 10 * c + 9),
+                        ];
+                        let pinned_t = snap.relation("T").expect("T present");
+                        assert_eq!(
+                            runtime.query(&snap, "T", &sel).expect("query T").tuples(),
+                            algebra::select_with(runtime.engine(), pinned_t, &sel).tuples(),
+                            "indexed read diverged from the scan (epoch {})",
                             snap.epoch()
                         );
                         reads += 1;
